@@ -839,6 +839,7 @@ func (d *Device) FinishObs() {
 	palTiles, palPromos := d.mgr.PaletteStats()
 	reg.Counter("fb_palette_tiles").Add(uint64(palTiles))
 	reg.Counter("fb_palette_promotions_total").Add(palPromos)
+	reg.Counter("fb_palette_repacks_total").Add(d.mgr.PaletteRepacks())
 	var memoHits, memoMisses uint64
 	for _, m := range d.apps {
 		h, ms := m.MemoStats()

@@ -34,7 +34,9 @@ import (
 // oracle (compose and compare, whose naive rows double as the comparison
 // baseline), the palette representation against the raw-tile oracle
 // (blit and hash rows, plus the whole-device no-palette steady state),
-// the event engine (cold-start and steady-state), the
+// the palette-domain meter and fill kernels (delta compare on a shared
+// memo view, video band fills that repack instead of promoting), the
+// event engine (cold-start and steady-state), the
 // whole-device paths (per-op setup and zero-alloc steady state), and the
 // fleet campaign path (streamed throughput and memory footprint —
 // single-op cohorts, cheap enough to gate). Heavier figure-regeneration
@@ -42,7 +44,7 @@ import (
 // -benchtime 200ms gate.
 const suiteRegex = `^(BenchmarkGridSample9K|BenchmarkDiffPixelsFullHD|BenchmarkFillSprite|` +
 	`BenchmarkMeterObserve9K|BenchmarkTileCompare|BenchmarkTileCompose|` +
-	`BenchmarkPaletteBlit|BenchmarkPaletteHash|` +
+	`BenchmarkPaletteBlit|BenchmarkPaletteHash|BenchmarkDeltaCompareMemoView|BenchmarkFillVideoBands|` +
 	`BenchmarkEngineScheduleAndRun|BenchmarkEngineSteadyState|` +
 	`BenchmarkDeviceSimulation|BenchmarkDeviceSteadyState|BenchmarkDeviceSteadyStateNoPalette|` +
 	`BenchmarkFleetThroughput|BenchmarkCohortMemory)$`

@@ -112,6 +112,7 @@ func TestRunMetricsPromExposition(t *testing.T) {
 	for _, want := range []string{
 		"fb_palette_tiles_total",
 		"fb_palette_promotions_total",
+		"fb_palette_repacks_total",
 		"app_memo_hits_total",
 		"app_memo_misses_total",
 		"frames_total",

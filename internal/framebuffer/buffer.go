@@ -8,7 +8,10 @@
 // by actual comparison rather than by trusting workload annotations.
 package framebuffer
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Color is a packed 0x00RRGGBB pixel. The Galaxy S3 framebuffer is RGBX8888;
 // the padding byte carries no information so we keep it zero.
@@ -56,6 +59,11 @@ type Buffer struct {
 
 	// tiles is the optional 32×32 tile-tracking state (see tile.go).
 	tiles *tileSet
+
+	// lat is the lattice index cache of a fully palettized buffer that
+	// copy-on-write views share (see TileLattice.DeltaCompare): built
+	// once by the first view metered against it, then read by all.
+	lat atomic.Pointer[latticeCache]
 }
 
 // New allocates a zeroed (black) buffer. Width and height must be positive.

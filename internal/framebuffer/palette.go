@@ -1,6 +1,9 @@
 package framebuffer
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // Palette-compressed tiles: the *Surface Compression Using Dynamic Color
 // Palettes* idea (PAPERS.md), the companion of the tile-signature
@@ -23,8 +26,13 @@ import "bytes"
 //   - Promotion back to raw is transparent: palette overflow on a
 //     partial write, or a raw kernel (Blit, ScrollVert) landing on a
 //     compressed tile, realizes the tile into the pixel array first.
-//     A fill covering a whole tile resets it to a fresh one-color
+//     A partial fill that overflows first repacks the palette, dropping
+//     entries no index references, and promotes only when all 16 are
+//     live. A fill covering a whole tile resets it to a fresh one-color
 //     palette, so flat UI churns between solid palettes, not raw.
+//   - Every index in the plane addresses a live entry (< palN), and a
+//     solid tile (palN == 1) has an all-zero plane. Index bits outside an
+//     edge tile's on-screen rectangle are zero.
 //
 // Readers must be representation-aware AND sharing-aware: a copy-on-write
 // view's content lives on its shared source (which may be compressed, or
@@ -109,6 +117,16 @@ func (b *Buffer) PalettePromotions() uint64 {
 	return b.tiles.promotions
 }
 
+// PaletteRepacks returns how many times a fill overflowing one of b's
+// full tile palettes was absorbed by dropping dead entries instead of
+// promoting the tile to raw.
+func (b *Buffer) PaletteRepacks() uint64 {
+	if b.tiles == nil {
+		return 0
+	}
+	return b.tiles.repacks
+}
+
 // tilePal returns tile i's palette storage (PaletteCap entries).
 func (t *tileSet) tilePal(i int) []Color {
 	return t.pal[i*PaletteCap : i*PaletteCap+PaletteCap : i*PaletteCap+PaletteCap]
@@ -135,6 +153,52 @@ func (t *tileSet) palIndex(i int, c Color) int {
 	pal[n] = c
 	t.palN[i] = uint8(n + 1)
 	return n
+}
+
+// nibMask[v] is the set of palette entries referenced by the two
+// indices packed in plane byte v.
+var nibMask = func() (m [256]uint16) {
+	for v := range m {
+		m[v] = 1<<(v&0xF) | 1<<(v>>4)
+	}
+	return m
+}()
+
+// repack drops the entries of tile i's palette that no index references,
+// keeping the survivors in order and rewriting the plane to match, and
+// reports whether any entry was freed. Content is unchanged. A plane
+// whose indices all address one survivor becomes all zero, so the
+// palN == 1 zero-plane invariant holds through a repack.
+func (t *tileSet) repack(i int) bool {
+	plane := t.tilePlane(i)
+	var live uint16
+	for _, v := range plane {
+		live |= nibMask[v]
+	}
+	n := int(t.palN[i])
+	if live == uint16(1<<n-1) {
+		return false // every entry is live
+	}
+	pal := t.tilePal(i)
+	var remap [PaletteCap]byte
+	k := 0
+	for j := 0; j < n; j++ {
+		if live&(1<<j) != 0 {
+			remap[j] = byte(k)
+			pal[k] = pal[j]
+			k++
+		}
+	}
+	var tab [256]byte
+	for v := range tab {
+		tab[v] = remap[v&0xF] | remap[v>>4]<<4
+	}
+	for j, v := range plane {
+		plane[j] = tab[v]
+	}
+	t.palN[i] = uint8(k)
+	t.repacks++
+	return true
 }
 
 // dropPalettes discards all palette state without decoding — used when
@@ -278,35 +342,37 @@ func (b *Buffer) fillRows(r Rect, c Color) {
 }
 
 // fillNibs writes palette index idx into every nibble of the tile-local
-// projection of clip (buffer coordinates, within one tile).
+// projection of clip (buffer coordinates, within one tile). A tile row is
+// 16 plane bytes, so each row takes two masked 64-bit stores.
 func fillNibs(plane []byte, clip Rect, idx byte) {
-	bb := idx | idx<<4
 	lx0 := clip.X0 & tileMask
 	lx1 := (clip.X1-1)&tileMask + 1
-	for y := clip.Y0; y < clip.Y1; y++ {
-		np := (y&tileMask)<<TileShift + lx0
-		end := (y&tileMask)<<TileShift + lx1
-		if np&1 == 1 {
-			plane[np>>1] = plane[np>>1]&0x0F | idx<<4
-			np++
-		}
-		if end&1 == 1 && end > np {
-			end--
-			plane[end>>1] = plane[end>>1]&0xF0 | idx
-		}
-		row := plane[np>>1 : end>>1]
-		for k := range row {
-			row[k] = bb
-		}
+	const rowBytes = TileSize / 2
+	m0 := nibSpan(lx0, lx1)
+	m1 := nibSpan(lx0-rowBytes, lx1-rowBytes)
+	pat := uint64(idx) * 0x1111111111111111
+	p0, p1 := pat&m0, pat&m1
+	for y := clip.Y0 & tileMask; y <= (clip.Y1-1)&tileMask; y++ {
+		row := plane[y*rowBytes:][:rowBytes:rowBytes]
+		binary.LittleEndian.PutUint64(row[:8], binary.LittleEndian.Uint64(row[:8])&^m0|p0)
+		binary.LittleEndian.PutUint64(row[8:], binary.LittleEndian.Uint64(row[8:])&^m1|p1)
 	}
+}
+
+// nibSpan returns the mask of nibbles [a, b) of a little-endian 64-bit
+// word of 16 nibbles, with a and b clamped to [0, 16].
+func nibSpan(a, b int) uint64 {
+	a, b = min(max(a, 0), 16), min(max(b, 0), 16)
+	return ^uint64(0) << (4 * a) & (^uint64(0) >> (64 - 4*b))
 }
 
 // fillPal is Fill's kernel for palette-enabled buffers: a tile fully
 // covered by r resets to a fresh single-color palette (a 512-byte memset
 // instead of a 4 KB pixel fill), a partially covered compressed tile
-// takes an index fill when c fits its palette (promoting to raw on
-// overflow), and raw tiles take the raw row fill. r must be clamped and
-// non-empty; b must be materialized.
+// takes an index fill when c fits its palette (repacking a full palette
+// first, and promoting to raw only when all 16 entries are live), and
+// raw tiles take the raw row fill. r must be clamped and non-empty; b
+// must be materialized.
 func (b *Buffer) fillPal(r Rect, c Color) {
 	t := b.tiles
 	for ty := r.Y0 >> TileShift; ty <= (r.Y1-1)>>TileShift; ty++ {
@@ -331,7 +397,11 @@ func (b *Buffer) fillPal(r Rect, c Color) {
 				continue
 			}
 			if t.palN[i] > 0 {
-				if idx := t.palIndex(i, c); idx >= 0 {
+				idx := t.palIndex(i, c)
+				if idx < 0 && t.repack(i) {
+					idx = t.palIndex(i, c)
+				}
+				if idx >= 0 {
 					fillNibs(t.tilePlane(i), clip, byte(idx))
 					continue
 				}
@@ -509,6 +579,9 @@ func (b *Buffer) EncodeAll() bool {
 			all = false
 		}
 	}
+	// Re-encoding can assign new indices without a generation bump, so a
+	// lattice cache built before an earlier realization may be stale.
+	b.lat.Store(nil)
 	return all
 }
 
@@ -520,6 +593,9 @@ func (b *Buffer) encodeTile(i int) bool {
 	r := b.TileRect(i)
 	pal := t.tilePal(i)
 	plane := t.tilePlane(i)
+	if r.Dx() < TileSize || r.Dy() < TileSize {
+		clear(plane) // off-screen index bits of an edge tile stay zero
+	}
 	n := 0
 	for y := r.Y0; y < r.Y1; y++ {
 		np := (y&tileMask)<<TileShift + r.X0&tileMask
@@ -589,6 +665,7 @@ func (b *Buffer) Recycle() {
 		}
 		t.palTiles = t.cols * t.rows
 		t.promotions = 0
+		t.repacks = 0
 		t.solidOK = false
 		b.touchAll()
 		return

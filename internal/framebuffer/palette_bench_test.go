@@ -98,3 +98,62 @@ func BenchmarkPaletteHash(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDeltaCompareMemoView measures the meter's tile-delta compare
+// on a copy-on-write view alternating between two shared feed snapshots
+// — the memo-hit shape, where every tile under the feed region is dirty
+// and the compare reads the shared screen's lattice cache (one index per
+// point, a contiguous run per tile) and answers solid tiles from their
+// single palette entry. Both screens' caches are built before timing.
+func BenchmarkDeltaCompareMemoView(b *testing.B) {
+	var snaps [2]*Buffer
+	for i := range snaps {
+		buf := New(720, 1280)
+		buf.EnablePalettes()
+		feedPaint(buf)
+		if i == 1 {
+			buf.ScrollVert(R(0, 48, 720, 1280), -24)
+			buf.Fill(R(0, 1256, 720, 1280), RGB(200, 90, 20))
+		}
+		snaps[i] = NewPaletteSnapshot(buf)
+	}
+	g := GridForSamples(720, 1280, 9216)
+	tl := NewTileLattice(g)
+	view := New(720, 1280)
+	view.EnablePalettes()
+	view.ShareFrom(snaps[0])
+	committed := make([]Color, g.Samples())
+	tl.Prime(view, committed)
+	feed := []Rect{R(0, 48, 720, 1280)}
+	step := func(i int) {
+		since := view.Gen()
+		view.ShareFromDamage(snaps[(i+1)&1], feed)
+		if tl.DeltaCompare(view, committed, since) < 0 {
+			b.Fatal("alternating screens compared equal")
+		}
+	}
+	step(0)
+	step(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}
+
+// BenchmarkFillVideoBands measures the video app's per-frame repaint: 60
+// px bands of fresh colors over a 720×640 letterbox, so the bands that
+// straddle 32 px tiles gain two palette entries per frame. Full palettes
+// repack in place, keeping those tiles in the index domain instead of
+// promoting them to raw row fills.
+func BenchmarkFillVideoBands(b *testing.B) {
+	buf := New(720, 1280)
+	buf.EnablePalettes()
+	buf.Recycle()
+	r := R(0, 320, 720, 960)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		paintBands(buf, r, 60, i)
+	}
+}

@@ -62,8 +62,10 @@ type tileSet struct {
 	pal      []Color // PaletteCap entries per tile
 	palTiles int     // tiles currently palettized
 	// promotions counts pal → raw realizations (palette overflow and
-	// raw-kernel writes over compressed tiles).
+	// raw-kernel writes over compressed tiles); repacks counts overflows
+	// absorbed by dropping dead palette entries instead.
 	promotions uint64
+	repacks    uint64
 	// One-entry signature memo for full single-color tiles: the FNV of
 	// 1024 equal words is a pure function of the color, and solid tiles
 	// dominate flat UI. Lives on the hashing buffer's own tile set, never
@@ -465,6 +467,13 @@ func (tl *TileLattice) Prime(buf *Buffer, committed []Color) {
 // points cannot differ. The minimum index over dirty tiles therefore
 // equals the first-diff index of a full scan, and the all-clean case is
 // exactly the redundant-frame verdict.
+//
+// Compressed tiles are compared in the palette domain. A solid tile
+// (palN == 1) holds pal[0] at every pixel, so its points compare against
+// that one color without reading the index plane. On a view of a fully
+// palettized source (a shared memo screen) the other tiles read their
+// indices from the source's lattice cache, a contiguous run per tile,
+// instead of scattered nibbles of its index plane.
 func (tl *TileLattice) DeltaCompare(buf *Buffer, committed []Color, sinceGen uint64) int {
 	if buf.w != tl.g.w || buf.h != tl.g.h {
 		panic(fmt.Sprintf("framebuffer: DeltaCompare on %dx%d buffer with %dx%d lattice screen",
@@ -486,18 +495,20 @@ func (tl *TileLattice) DeltaCompare(buf *Buffer, committed []Color, sinceGen uin
 	pix := rb.pix
 	flat := tl.g.flat
 	usePal := rt != nil && rt.palTiles > 0
+	var cached []uint8
+	if usePal && buf.shared != nil {
+		cached = tl.sourceIndices(buf.shared)
+	}
 	min := -1
 	for ti, tg := range t.tgen {
 		if tg <= sinceGen {
 			continue
 		}
-		if usePal && rt.palN[ti] > 0 {
-			plane := rt.tilePlane(ti)
-			pal := rt.tilePal(ti)
-			for _, li := range tl.lat[tl.start[ti]:tl.start[ti+1]] {
-				np := tl.g.nibPos[li]
-				v := pal[plane[np>>1]>>(uint(np&1)*4)&0xF]
-				if v != committed[li] {
+		lo, hi := tl.start[ti], tl.start[ti+1]
+		lat := tl.lat[lo:hi]
+		if !usePal || rt.palN[ti] == 0 {
+			for _, li := range lat {
+				if v := pix[flat[li]]; v != committed[li] {
 					committed[li] = v
 					if min < 0 || int(li) < min {
 						min = int(li)
@@ -506,16 +517,84 @@ func (tl *TileLattice) DeltaCompare(buf *Buffer, committed []Color, sinceGen uin
 			}
 			continue
 		}
-		for _, li := range tl.lat[tl.start[ti]:tl.start[ti+1]] {
-			if v := pix[flat[li]]; v != committed[li] {
-				committed[li] = v
-				if min < 0 || int(li) < min {
-					min = int(li)
+		pal := rt.tilePal(ti)
+		switch {
+		case rt.palN[ti] == 1:
+			v := pal[0]
+			for _, li := range lat {
+				if v != committed[li] {
+					committed[li] = v
+					if min < 0 || int(li) < min {
+						min = int(li)
+					}
+				}
+			}
+		case cached != nil:
+			for k, li := range lat {
+				k += int(lo)
+				if v := pal[cached[k>>1]>>(uint(k&1)*4)&0xF]; v != committed[li] {
+					committed[li] = v
+					if min < 0 || int(li) < min {
+						min = int(li)
+					}
+				}
+			}
+		default:
+			plane := rt.tilePlane(ti)
+			for _, li := range lat {
+				np := tl.g.nibPos[li]
+				if v := pal[plane[np>>1]>>(uint(np&1)*4)&0xF]; v != committed[li] {
+					committed[li] = v
+					if min < 0 || int(li) < min {
+						min = int(li)
+					}
 				}
 			}
 		}
 	}
 	return min
+}
+
+// latticeCache holds a fully palettized buffer's 4-bit palette index at
+// every lattice point of one grid shape, packed two per byte in
+// TileLattice order, so each tile's indices form one contiguous run. It
+// is a pure function of the index planes at tile generation gen, and the
+// lattice order is a pure function of the grid shape, so a cache whose
+// key matches is exact for any lattice over that shape.
+type latticeCache struct {
+	cols, rows int
+	gen        uint64
+	idx        []uint8
+}
+
+// sourceIndices returns src's lattice cache for tl's grid, building and
+// publishing it on first use. src is a view's shared source: immutable
+// while shared and read by many goroutines at once, so the cache is
+// published through an atomic pointer and never written after that. It
+// returns nil — the caller reads the index planes instead — when src is
+// not fully palettized or holds a cache for another grid shape or
+// generation.
+func (tl *TileLattice) sourceIndices(src *Buffer) []uint8 {
+	st := src.tiles
+	if st.palTiles != st.cols*st.rows {
+		return nil
+	}
+	if c := src.lat.Load(); c != nil {
+		if c.cols == tl.g.cols && c.rows == tl.g.rows && c.gen == st.gen {
+			return c.idx
+		}
+		return nil
+	}
+	c := &latticeCache{cols: tl.g.cols, rows: tl.g.rows, gen: st.gen, idx: make([]uint8, (len(tl.lat)+1)/2)}
+	for k, li := range tl.lat {
+		np := int(tl.g.nibPos[li])
+		nib := st.plane[int(tl.g.tileOf[li])*planeTileBytes+np>>1] >> (uint(np&1) * 4) & 0xF
+		c.idx[k>>1] |= nib << (uint(k&1) * 4)
+	}
+	// A concurrent view may have published first; either cache is exact,
+	// so this call simply uses the one it built.
+	src.lat.CompareAndSwap(nil, c)
+	return c.idx
 }
 
 // Samples returns the lattice size.

@@ -242,6 +242,17 @@ func (m *Manager) PaletteStats() (tiles int, promotions uint64) {
 	return tiles, promotions
 }
 
+// PaletteRepacks sums, over the framebuffer and every registered surface
+// buffer, the palette overflows absorbed by dropping dead entries
+// instead of promoting a tile to raw.
+func (m *Manager) PaletteRepacks() uint64 {
+	n := m.fb.PaletteRepacks()
+	for _, s := range m.surfaces {
+		n += s.buf.PaletteRepacks()
+	}
+	return n
+}
+
 // DirectScanout reports whether the framebuffer currently aliases a sole
 // full-screen surface's buffer (no composition copies at all).
 func (m *Manager) DirectScanout() bool { return m.scanout != nil }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -151,11 +150,11 @@ func TestManagerResumesFromCheckpoint(t *testing.T) {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	runnerB := newHoldRunner(0, 1, 2)
-	var logBuf bytes.Buffer
+	var logBuf logSink
 	mB := NewManager(Config{
 		Runner: runnerB,
 		Store:  storeB,
-		Logger: slog.New(slog.NewJSONHandler(&logBuf, nil)),
+		Logger: logBuf.logger(),
 	})
 	defer mB.Shutdown(context.Background())
 	resumed, err := mB.Recover()
@@ -256,19 +255,16 @@ func TestRecoverRejectsBadCheckpoints(t *testing.T) {
 			}
 			tc.write(t, store, "job-0007")
 
-			var logBuf bytes.Buffer
+			var logBuf logSink
 			m := NewManager(Config{
 				Runner: LocalRunner{},
 				Store:  store,
-				Logger: slog.New(slog.NewJSONHandler(&logBuf, nil)),
+				Logger: logBuf.logger(),
 			})
 			defer m.Shutdown(context.Background())
 			resumed, err := m.Recover()
 			if err != nil || resumed != 1 {
 				t.Fatalf("Recover = (%d, %v), want the job re-admitted from scratch", resumed, err)
-			}
-			if !strings.Contains(logBuf.String(), "checkpoint rejected") {
-				t.Errorf("rejection not logged:\n%s", logBuf.String())
 			}
 			job, ok := m.Job("job-0007")
 			if !ok {
@@ -277,6 +273,9 @@ func TestRecoverRejectsBadCheckpoints(t *testing.T) {
 			p := waitTerminal(t, job)
 			if p.State != StateDone || p.ResumedShards != 0 {
 				t.Fatalf("state = %s, resumed = %d; want a clean from-scratch done run", p.State, p.ResumedShards)
+			}
+			if !strings.Contains(logBuf.String(), "checkpoint rejected") {
+				t.Errorf("rejection not logged:\n%s", logBuf.String())
 			}
 			result, ok := job.Result()
 			if !ok {
@@ -310,16 +309,19 @@ func TestRecoverDropsInvalidSpecJournal(t *testing.T) {
 	if err := store.JournalSpec("job-0001", []byte(`{"spec": null, "nonsense": true}`)); err != nil {
 		t.Fatalf("JournalSpec: %v", err)
 	}
-	var logBuf bytes.Buffer
+	var logBuf logSink
 	m := NewManager(Config{
 		Runner: LocalRunner{},
 		Store:  store,
-		Logger: slog.New(slog.NewJSONHandler(&logBuf, nil)),
+		Logger: logBuf.logger(),
 	})
 	defer m.Shutdown(context.Background())
 	resumed, err := m.Recover()
 	if err != nil || resumed != 0 {
 		t.Fatalf("Recover = (%d, %v), want (0, nil)", resumed, err)
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 	if !strings.Contains(logBuf.String(), "invalid spec journal") {
 		t.Errorf("drop not logged:\n%s", logBuf.String())

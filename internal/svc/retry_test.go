@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"os/exec"
 	"strings"
 	"sync"
@@ -261,10 +260,10 @@ func TestManagerRetriesFlakyShard(t *testing.T) {
 		err:      errors.New("worker lost"),
 		attempts: map[int]int{},
 	}
-	var logBuf bytes.Buffer
+	var logBuf logSink
 	m := NewManager(Config{
 		Runner: inner,
-		Logger: slog.New(slog.NewJSONHandler(&logBuf, nil)),
+		Logger: logBuf.logger(),
 		Retry:  RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
 	})
 	defer m.Shutdown(context.Background())

@@ -15,6 +15,31 @@ import (
 	"ccdem/internal/sim"
 )
 
+// logSink is a log destination shared by a test and the goroutines it
+// starts: writes and reads take one mutex, so a test can read the log
+// while a manager or worker is still logging without a data race. Read
+// it only once the records under test are certain to be written — the
+// job is terminal or the manager has shut down.
+type logSink struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (s *logSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.Write(p)
+}
+
+func (s *logSink) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.String()
+}
+
+// logger returns a JSON slog logger writing to s.
+func (s *logSink) logger() *slog.Logger { return slog.New(slog.NewJSONHandler(s, nil)) }
+
 // testSpecDoc serializes a small deterministic cohort as a spec document.
 func testSpecDoc(t *testing.T, devices int) []byte {
 	t.Helper()
@@ -178,8 +203,8 @@ func TestProcRunnerDiagBounded(t *testing.T) {
 	if _, err := exec.LookPath("sh"); err != nil {
 		t.Skip("sh unavailable")
 	}
-	var logBuf bytes.Buffer
-	ctx := WithLogger(context.Background(), slog.New(slog.NewJSONHandler(&logBuf, nil)))
+	var logBuf logSink
+	ctx := WithLogger(context.Background(), logBuf.logger())
 	// ~160KB of non-JSON stderr, then a failing exit so RunShard reports
 	// the retained diagnostics in its error.
 	r := ProcRunner{Exe: "sh", Args: []string{"-c",

@@ -103,7 +103,7 @@ curl -fsS "${debug}cmdline" > /dev/null
 "$workdir/ccdem-fleet" -devices 4 -duration 2 -seed 7 \
   -metrics-prom "$workdir/fleet.prom" > /dev/null
 "$workdir/ccdem-obscheck" -prom "$workdir/fleet.prom" \
-  -require fb_palette_tiles_total,fb_palette_promotions_total,app_memo_hits_total,app_memo_misses_total,frames_total
+  -require fb_palette_tiles_total,fb_palette_promotions_total,fb_palette_repacks_total,app_memo_hits_total,app_memo_misses_total,frames_total
 
 kill -TERM "$svc_pid"
 wait "$svc_pid"
