@@ -35,7 +35,7 @@ import (
 // baseline), the palette representation against the raw-tile oracle
 // (blit and hash rows, plus the whole-device no-palette steady state),
 // the palette-domain meter and fill kernels (delta compare on a shared
-// memo view, video band fills that repack instead of promoting), the
+// memo view, video band op lists that compose each tile once), the
 // event engine (cold-start and steady-state), the
 // whole-device paths (per-op setup and zero-alloc steady state), and the
 // fleet campaign path (streamed throughput and memory footprint —

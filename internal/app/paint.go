@@ -313,16 +313,23 @@ func (m *Model) pulseRect() framebuffer.Rect {
 }
 
 // paintVideo repaints the letterboxed video area with a band pattern
-// derived from the current frame number.
+// derived from the current frame number. The bands go to the buffer as
+// op lists of up to len(rs) bands, so the palette fill kernel composes
+// each tile a band boundary straddles once per frame (see FillRects).
 func (m *Model) paintVideo(buf *framebuffer.Buffer) framebuffer.Rect {
 	r := m.videoRect()
+	var rs [32]framebuffer.Rect
+	var cs [32]framebuffer.Color
+	n := 0
 	for x := r.X0; x < r.X1; x += bandW {
-		x1 := x + bandW
-		if x1 > r.X1 {
-			x1 = r.X1
+		rs[n] = framebuffer.R(x, r.Y0, min(x+bandW, r.X1), r.Y1)
+		cs[n] = hashColor(m.contentSeq, m.salt()+uint64(x/bandW))
+		if n++; n == len(rs) {
+			buf.FillRects(rs[:n], cs[:n])
+			n = 0
 		}
-		buf.Fill(framebuffer.R(x, r.Y0, x1, r.Y1), hashColor(m.contentSeq, m.salt()+uint64(x/bandW)))
 	}
+	buf.FillRects(rs[:n], cs[:n])
 	return r
 }
 

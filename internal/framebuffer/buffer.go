@@ -123,24 +123,46 @@ func (b *Buffer) Set(x, y int, c Color) {
 }
 
 // Fill sets every pixel in r (clamped to the buffer) to c and returns the
-// number of pixels written. On palette-enabled buffers the fill runs in
-// the index domain where it can (see fillPal); otherwise the first row is
-// painted by doubling copies and replicated into the remaining rows with
-// copy, so the bulk of the work runs at memmove speed instead of one
-// store per pixel.
+// number of pixels written. It is the one-op case of FillRects.
 func (b *Buffer) Fill(r Rect, c Color) int {
-	r = r.Clamp(b.Bounds())
-	if r.Empty() {
+	return b.FillRects([]Rect{r}, []Color{c})
+}
+
+// FillRects fills each rs[k] (clamped to the buffer) with cs[k], in
+// order, and returns the total number of pixels written: content, tile
+// generations and the return value are exactly those of calling
+// Fill(rs[k], cs[k]) for every k. On palette-enabled buffers the fill
+// runs in the index domain where it can (see fillPal); otherwise the
+// first row of each rect is painted by doubling copies and replicated
+// into the remaining rows with copy, so the bulk of the work runs at
+// memmove speed instead of one store per pixel.
+func (b *Buffer) FillRects(rs []Rect, cs []Color) int {
+	if len(rs) != len(cs) {
+		panic(fmt.Sprintf("framebuffer: FillRects with %d rects and %d colors", len(rs), len(cs)))
+	}
+	bounds := b.Bounds()
+	n := 0
+	for _, r := range rs {
+		n += r.Clamp(bounds).Area()
+	}
+	if n == 0 {
 		return 0
 	}
 	b.own()
 	if t := b.tiles; t != nil && t.palOn {
-		b.fillPal(r, c)
+		b.fillPal(rs, cs)
 	} else {
-		b.fillRows(r, c)
+		for k, r := range rs {
+			if r = r.Clamp(bounds); !r.Empty() {
+				b.fillRows(r, cs[k])
+			}
+		}
 	}
-	b.touch(r)
-	return r.Area()
+	// Each rect is a write of its own, as if filled by its own call.
+	for _, r := range rs {
+		b.touch(r)
+	}
+	return n
 }
 
 // FillAll sets the whole buffer to c.

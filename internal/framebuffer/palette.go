@@ -29,7 +29,9 @@ import (
 //     A partial fill that overflows first repacks the palette, dropping
 //     entries no index references, and promotes only when all 16 are
 //     live. A fill covering a whole tile resets it to a fresh one-color
-//     palette, so flat UI churns between solid palettes, not raw.
+//     palette, and an op list whose ops span a tile top to bottom
+//     rebuilds its palette from the visible colors alone (fillPal), so
+//     flat UI and video bands churn between fresh palettes, not raw.
 //   - Every index in the plane addresses a live entry (< palN), and a
 //     solid tile (palN == 1) has an all-zero plane. Index bits outside an
 //     edge tile's on-screen rectangle are zero.
@@ -366,50 +368,193 @@ func nibSpan(a, b int) uint64 {
 	return ^uint64(0) << (4 * a) & (^uint64(0) >> (64 - 4*b))
 }
 
-// fillPal is Fill's kernel for palette-enabled buffers: a tile fully
-// covered by r resets to a fresh single-color palette (a 512-byte memset
-// instead of a 4 KB pixel fill), a partially covered compressed tile
-// takes an index fill when c fits its palette (repacking a full palette
-// first, and promoting to raw only when all 16 entries are live), and
-// raw tiles take the raw row fill. r must be clamped and non-empty; b
-// must be materialized.
-func (b *Buffer) fillPal(r Rect, c Color) {
+// fillPal is FillRects' kernel for palette-enabled buffers. It walks the
+// tile columns the ops overlap, one column at a time:
+//
+//   - Column compose. A tile that every op overlapping its column spans
+//     from top to bottom holds, after the list, a content that depends
+//     on x alone: each column of pixels shows the last op covering it.
+//     When those ops cover all of the column's on-screen pixel columns
+//     in at most PaletteCap colors, that final state is composed once
+//     per column as a palette of the visible colors (ops hidden by later
+//     ops drop out) plus one 16-byte index row pattern, and applied to
+//     every such tile of the column (see applyColumn).
+//   - Fallback. Every other tile takes the ops overlapping it one by one,
+//     in op order (see fillTile).
+//
+// Tiles are disjoint and each sees its ops in list order, so the content
+// is that of filling the rects one after another. rs may hold
+// out-of-bounds or empty rects, which are clipped away; b must be
+// materialized.
+func (b *Buffer) fillPal(rs []Rect, cs []Color) {
 	t := b.tiles
-	for ty := r.Y0 >> TileShift; ty <= (r.Y1-1)>>TileShift; ty++ {
-		for tx := r.X0 >> TileShift; tx <= (r.X1-1)>>TileShift; tx++ {
-			i := ty*t.cols + tx
-			tr := b.TileRect(i)
-			clip := tr.Intersect(r)
-			if clip == tr {
-				if t.palN[i] != 1 {
-					// An already-solid tile's plane is zero by invariant;
-					// everything else needs the 512-byte plane reset.
-					if t.palN[i] == 0 {
-						t.palTiles++
-					}
-					t.palN[i] = 1
-					plane := t.tilePlane(i)
-					for k := range plane {
-						plane[k] = 0
-					}
-				}
-				t.tilePal(i)[0] = c
-				continue
-			}
-			if t.palN[i] > 0 {
-				idx := t.palIndex(i, c)
-				if idx < 0 && t.repack(i) {
-					idx = t.palIndex(i, c)
-				}
-				if idx >= 0 {
-					fillNibs(t.tilePlane(i), clip, byte(idx))
-					continue
-				}
-				b.realizeTile(i)
-			}
-			b.fillRows(clip, c)
+	x0, x1 := b.w, 0
+	for _, r := range rs {
+		if r = r.Clamp(b.Bounds()); !r.Empty() {
+			x0, x1 = min(x0, r.X0), max(x1, r.X1)
 		}
 	}
+	var f colFill
+	for tx := x0 >> TileShift; tx < tilesFor(x1); tx++ {
+		col := Rect{tx << TileShift, 0, min((tx+1)<<TileShift, b.w), b.h}
+		// The rows the column's ops touch, and the band [spanY0, spanY1)
+		// every one of them covers.
+		y0, y1 := b.h, 0
+		spanY0, spanY1 := 0, b.h
+		ops, last := 0, 0
+		for k, r := range rs {
+			if r = r.Intersect(col); !r.Empty() {
+				y0, y1 = min(y0, r.Y0), max(y1, r.Y1)
+				spanY0, spanY1 = max(spanY0, r.Y0), min(spanY1, r.Y1)
+				ops, last = ops+1, k
+			}
+		}
+		composed, ok := false, false
+		for ty := y0 >> TileShift; ty < tilesFor(y1); ty++ {
+			i := ty*t.cols + tx
+			tr := Rect{col.X0, ty << TileShift, col.X1, min((ty+1)<<TileShift, b.h)}
+			if tr.Y0 >= spanY0 && tr.Y1 <= spanY1 {
+				if !composed {
+					composed = true
+					if ops == 1 {
+						// A lone op composes to its own color where it
+						// spans the column's width; no scan needed.
+						r := rs[last].Intersect(col)
+						f.n, f.pal[0] = 1, cs[last]
+						ok = r.X0 == col.X0 && r.X1 == col.X1
+					} else {
+						ok = composeColumn(&f, rs, cs, col)
+					}
+				}
+				if ok {
+					b.applyColumn(i, tr.Dy(), &f)
+					continue
+				}
+			}
+			for k, r := range rs {
+				if clip := r.Intersect(tr); !clip.Empty() {
+					b.fillTile(i, tr, clip, cs[k])
+				}
+			}
+		}
+	}
+}
+
+// colFill is a tile column's composed final state: the palette of the
+// visible colors and, for more than one color, the index plane of a
+// full tile, whose 32 rows all repeat one 16-byte index row pattern.
+type colFill struct {
+	pal   [PaletteCap]Color
+	n     int
+	plane [planeTileBytes]byte
+}
+
+// composeColumn composes into f the final state of col's tiles from the
+// ops overlapping col, for tiles every one of those ops spans from top
+// to bottom. It reports false when the ops leave a pixel column of col
+// uncovered or show more than PaletteCap colors. Nibbles past an edge
+// column's on-screen width stay zero.
+func composeColumn(f *colFill, rs []Rect, cs []Color, col Rect) bool {
+	// owner[lx] is 1 + the index of the last op covering local x lx.
+	var owner [TileSize]int
+	for k, r := range rs {
+		if r = r.Intersect(col); !r.Empty() {
+			for x := r.X0; x < r.X1; x++ {
+				owner[x-col.X0] = k + 1
+			}
+		}
+	}
+	const rowBytes = TileSize / 2
+	row := f.plane[:rowBytes]
+	clear(row)
+	f.n = 0
+	idx, prev := 0, 0
+	for lx, k := range owner[:col.Dx()] {
+		if k == 0 {
+			return false
+		}
+		if k != prev {
+			c := cs[k-1]
+			idx = 0
+			for idx < f.n && f.pal[idx] != c {
+				idx++
+			}
+			if idx == f.n {
+				if f.n == PaletteCap {
+					return false
+				}
+				f.pal[f.n] = c
+				f.n++
+			}
+			prev = k
+		}
+		row[lx>>1] |= byte(idx) << (4 * (lx & 1))
+	}
+	if f.n > 1 {
+		for n := rowBytes; n < len(f.plane); n *= 2 {
+			copy(f.plane[n:], f.plane[:n])
+		}
+	}
+	return true
+}
+
+// applyColumn gives tile i, dy rows of which are on screen, the composed
+// column state f. A one-color state makes the tile solid with a zero
+// plane. Otherwise the on-screen plane rows are copied from f's plane
+// and the off-screen rows are zeroed.
+func (b *Buffer) applyColumn(i, dy int, f *colFill) {
+	t := b.tiles
+	if f.n == 1 {
+		t.setSolid(i, f.pal[0])
+		return
+	}
+	if t.palN[i] == 0 {
+		t.palTiles++
+	}
+	copy(t.tilePal(i), f.pal[:f.n])
+	t.palN[i] = uint8(f.n)
+	plane := t.tilePlane(i)
+	n := copy(plane, f.plane[:dy*TileSize/2])
+	clear(plane[n:])
+}
+
+// setSolid makes tile i a fresh single-color palette of c: a 512-byte
+// memset instead of a 4 KB pixel fill, and none at all for a tile that
+// is already solid, whose plane is zero by invariant.
+func (t *tileSet) setSolid(i int, c Color) {
+	if t.palN[i] != 1 {
+		if t.palN[i] == 0 {
+			t.palTiles++
+		}
+		t.palN[i] = 1
+		clear(t.tilePlane(i))
+	}
+	t.tilePal(i)[0] = c
+}
+
+// fillTile fills clip, a non-empty part of tile i (whose rect is tr),
+// with c. A fully covered tile becomes solid; a partially covered
+// compressed tile takes an index fill when c fits its palette (repacking
+// a full palette first, and promoting to raw only when all 16 entries
+// are live); raw tiles take the raw row fill.
+func (b *Buffer) fillTile(i int, tr, clip Rect, c Color) {
+	t := b.tiles
+	if clip == tr {
+		t.setSolid(i, c)
+		return
+	}
+	if t.palN[i] > 0 {
+		idx := t.palIndex(i, c)
+		if idx < 0 && t.repack(i) {
+			idx = t.palIndex(i, c)
+		}
+		if idx >= 0 {
+			fillNibs(t.tilePlane(i), clip, byte(idx))
+			return
+		}
+		b.realizeTile(i)
+	}
+	b.fillRows(clip, c)
 }
 
 // copyAllFrom copies src's full content into b, staying in the palette
@@ -654,16 +799,8 @@ func (b *Buffer) Recycle() {
 	t := b.tiles
 	if t != nil && t.palOn {
 		for i := range t.palN {
-			if t.palN[i] != 1 {
-				plane := t.tilePlane(i)
-				for k := range plane {
-					plane[k] = 0
-				}
-				t.palN[i] = 1
-			}
-			t.tilePal(i)[0] = 0
+			t.setSolid(i, 0)
 		}
-		t.palTiles = t.cols * t.rows
 		t.promotions = 0
 		t.repacks = 0
 		t.solidOK = false

@@ -142,10 +142,11 @@ func BenchmarkDeltaCompareMemoView(b *testing.B) {
 }
 
 // BenchmarkFillVideoBands measures the video app's per-frame repaint: 60
-// px bands of fresh colors over a 720×640 letterbox, so the bands that
-// straddle 32 px tiles gain two palette entries per frame. Full palettes
-// repack in place, keeping those tiles in the index domain instead of
-// promoting them to raw row fills.
+// px bands of fresh colors over a 720×640 letterbox as one FillRects op
+// list. Each tile column composes its final palette and index row once
+// and applies it to all 20 tiles under the bands, so the tiles a band
+// boundary straddles stay in the index domain with no per-op partial
+// fills.
 func BenchmarkFillVideoBands(b *testing.B) {
 	buf := New(720, 1280)
 	buf.EnablePalettes()

@@ -5,13 +5,32 @@ import (
 	"testing"
 )
 
-// paintBands paints r with vertical bands of width bw in colors derived
-// from frame, the shape of the video app's per-frame repaint: bands that
-// straddle a tile boundary add two fresh colors to that tile every frame.
+// bandColor is the color of the band starting at x in frame: fresh
+// every frame, so the bands that straddle a tile boundary bring two new
+// colors into that tile per frame.
+func bandColor(x, bw, frame int) Color {
+	return RGB(uint8(frame*7+x), uint8(frame*13), uint8(x/bw*29))
+}
+
+// paintBands paints r with vertical bands of width bw (at most 32 of
+// them) in colors derived from frame, as one FillRects op list: the
+// shape of the video app's per-frame repaint.
 func paintBands(b *Buffer, r Rect, bw, frame int) {
+	var rs [32]Rect
+	var cs [32]Color
+	n := 0
 	for x := r.X0; x < r.X1; x += bw {
-		c := RGB(uint8(frame*7+x), uint8(frame*13), uint8(x/bw*29))
-		b.Fill(Rect{x, r.Y0, min(x+bw, r.X1), r.Y1}, c)
+		rs[n] = Rect{x, r.Y0, min(x+bw, r.X1), r.Y1}
+		cs[n] = bandColor(x, bw, frame)
+		n++
+	}
+	b.FillRects(rs[:n], cs[:n])
+}
+
+// fillBands paints the bands of paintBands with one Fill call each.
+func fillBands(b *Buffer, r Rect, bw, frame int) {
+	for x := r.X0; x < r.X1; x += bw {
+		b.Fill(Rect{x, r.Y0, min(x+bw, r.X1), r.Y1}, bandColor(x, bw, frame))
 	}
 }
 
@@ -28,8 +47,8 @@ func TestPaletteRepackKeepsBandsPalettized(t *testing.T) {
 	rb.Recycle()
 	r := Rect{0, 32, 200, 96}
 	for frame := 0; frame < 40; frame++ {
-		paintBands(pb, r, 60, frame)
-		paintBands(rb, r, 60, frame)
+		fillBands(pb, r, 60, frame)
+		fillBands(rb, r, 60, frame)
 		checkPlaneInvariants(t, frame, pb)
 		if !pb.Equal(rb) {
 			t.Fatalf("frame %d: palette buffer diverges from the raw twin", frame)
@@ -47,6 +66,40 @@ func TestPaletteRepackKeepsBandsPalettized(t *testing.T) {
 	pb.Recycle()
 	if pb.PaletteRepacks() != 0 {
 		t.Error("Recycle kept the repack counter")
+	}
+}
+
+// TestPaletteFillRectsKeepsBandsPalettized: the same band repaint as one
+// FillRects op list per frame composes each straddled tile's palette
+// from its visible colors, so palettes never fill with dead entries:
+// no promotion and no repack, with content and tile generations
+// identical to the raw-tile twin filling the bands one by one.
+func TestPaletteFillRectsKeepsBandsPalettized(t *testing.T) {
+	pb := New(200, 128)
+	pb.EnablePalettes()
+	rb := New(200, 128)
+	rb.EnableTiles()
+	pb.Recycle()
+	rb.Recycle()
+	r := Rect{0, 32, 200, 96}
+	for frame := 0; frame < 40; frame++ {
+		paintBands(pb, r, 60, frame)
+		fillBands(rb, r, 60, frame)
+		checkPlaneInvariants(t, frame, pb)
+		if !pb.Equal(rb) {
+			t.Fatalf("frame %d: palette buffer diverges from the raw twin", frame)
+		}
+		for i := 0; i < pb.Tiles(); i++ {
+			if pg, rg := pb.TileGen(i), rb.TileGen(i); pg != rg {
+				t.Fatalf("frame %d: tile %d generation %d, raw twin %d", frame, i, pg, rg)
+			}
+		}
+	}
+	if p, rp := pb.PalettePromotions(), pb.PaletteRepacks(); p != 0 || rp != 0 {
+		t.Errorf("band op lists promoted %d tiles and repacked %d, want 0 and 0", p, rp)
+	}
+	if n, all := pb.PaletteTiles(), pb.Tiles(); n != all {
+		t.Errorf("%d of %d tiles palettized, want all", n, all)
 	}
 }
 
