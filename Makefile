@@ -33,6 +33,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAccumulatorCodec -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -fuzz FuzzTileCompose -fuzztime $(FUZZTIME) ./internal/surface
 	$(GO) test -fuzz FuzzTileCompare -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz FuzzMeterSnapshotViews -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz FuzzPaletteCompose -fuzztime $(FUZZTIME) ./internal/surface
 	$(GO) test -fuzz FuzzPaletteCompare -fuzztime $(FUZZTIME) ./internal/framebuffer
 	$(GO) test -fuzz FuzzFillRects -fuzztime $(FUZZTIME) ./internal/framebuffer

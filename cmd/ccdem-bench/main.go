@@ -35,7 +35,8 @@ import (
 // baseline), the palette representation against the raw-tile oracle
 // (blit and hash rows, plus the whole-device no-palette steady state),
 // the palette-domain meter and fill kernels (delta compare on a shared
-// memo view, video band op lists that compose each tile once), the
+// memo view, snapshot-pair verdicts for a view walking memoized screens,
+// video band op lists that compose each tile once), the
 // event engine (cold-start and steady-state), the
 // whole-device paths (per-op setup and zero-alloc steady state), and the
 // fleet campaign path (streamed throughput and memory footprint —
@@ -43,7 +44,7 @@ import (
 // benchmarks are deliberately excluded — they are too slow for a
 // -benchtime 200ms gate.
 const suiteRegex = `^(BenchmarkGridSample9K|BenchmarkDiffPixelsFullHD|BenchmarkFillSprite|` +
-	`BenchmarkMeterObserve9K|BenchmarkTileCompare|BenchmarkTileCompose|` +
+	`BenchmarkMeterObserve9K|BenchmarkMeterMemoView|BenchmarkTileCompare|BenchmarkTileCompose|` +
 	`BenchmarkPaletteBlit|BenchmarkPaletteHash|BenchmarkDeltaCompareMemoView|BenchmarkFillVideoBands|` +
 	`BenchmarkEngineScheduleAndRun|BenchmarkEngineSteadyState|` +
 	`BenchmarkDeviceSimulation|BenchmarkDeviceSteadyState|BenchmarkDeviceSteadyStateNoPalette|` +

@@ -86,6 +86,15 @@ type Meter struct {
 	tprimed   bool
 	lastBuf   *framebuffer.Buffer
 	lastGen   uint64
+	// snap is the shared snapshot the last observed buffer was a view
+	// of (nil when it owned its content), at tile generation snapGen:
+	// the previous frame's lattice is snap's. pending reports that
+	// committed has not caught up with it yet — snapshot-pair verdicts
+	// (framebuffer.TileLattice.SnapshotDiff) skip the in-place update,
+	// and every other path materializes committed from snap first.
+	snap    *framebuffer.Buffer
+	snapGen uint64
+	pending bool
 
 	totalFrames  uint64
 	totalContent uint64
@@ -120,6 +129,9 @@ func (m *Meter) initTiles(cfg MeterConfig, sameGrid bool) {
 	m.tprimed = false
 	m.lastBuf = nil
 	m.lastGen = 0
+	m.snap = nil
+	m.snapGen = 0
+	m.pending = false
 	if !m.tiles {
 		return
 	}
@@ -212,43 +224,82 @@ func (m *Meter) observeFull(t sim.Time, fb *framebuffer.Buffer) bool {
 // (see framebuffer.TileLattice.DeltaCompare). Observing a different
 // buffer than last time — the compose-mode demotion from direct scanout
 // — falls back to a full gather and compare for that frame, exactly what
-// the naive path computes.
+// the naive path computes. A frame that moves a view from one shared
+// snapshot to another takes the pair's memoized verdict and reads no
+// pixels (see tiledFirstDiff).
 func (m *Meter) observeTiled(t sim.Time, fb *framebuffer.Buffer) bool {
 	isContent := true
 	comparedPx := m.samples
-	switch {
-	case !m.tprimed:
+	src := fb.ViewSource()
+	if !m.tprimed {
 		// First observation: gather the full lattice; always content.
 		m.tl.Prime(fb, m.committed)
 		m.tprimed = true
-	case fb != m.lastBuf:
-		// Buffer identity changed mid-run: full gather and compare
-		// against the committed lattice (the naive verdict).
-		m.cfg.Grid.Sample(fb, m.db.Front())
-		idx := framebuffer.SamplesFirstDiff(m.db.Front(), m.committed)
-		isContent = idx >= 0
-		if m.cfg.EarlyExit && isContent {
-			comparedPx = idx + 1
-		}
-		if isContent {
-			copy(m.committed, m.db.Front())
-		}
-	case fb.Gen() == m.lastGen:
-		// No mutator ran since the last observation: bitwise-identical
-		// framebuffer, the redundant-frame verdict with no pixel reads.
-		// The modeled comparison cost is still the full sweep — the
-		// simulated device performs it even though the simulator skips it.
-		isContent = false
-	default:
-		idx := m.tl.DeltaCompare(fb, m.committed, m.lastGen)
+	} else {
+		idx := m.tiledFirstDiff(fb, src)
 		isContent = idx >= 0
 		if m.cfg.EarlyExit && isContent {
 			comparedPx = idx + 1
 		}
 	}
+	m.snap = src
+	if src != nil {
+		m.snapGen = src.Gen()
+	}
 	m.lastBuf = fb
 	m.lastGen = fb.Gen()
 	return m.finishObserve(t, isContent, comparedPx)
+}
+
+// tiledFirstDiff returns the first lattice index at which fb (a view of
+// src, or owning its content when src is nil) differs from the previous
+// observation, or -1 for a redundant frame.
+//
+// Every path is exact because after each observation the previous
+// frame's lattice is known: committed holds it, or — while pending — the
+// shared snapshot snap does, immutable while shared. A view→view frame
+// therefore needs only the verdict between the two snapshots, a pure
+// function of the pair that SnapshotDiff memoizes, so it leaves
+// committed stale and pending. Any other path first materializes
+// committed from snap and then compares as before.
+func (m *Meter) tiledFirstDiff(fb, src *framebuffer.Buffer) int {
+	if m.snap != nil && m.snap.Gen() != m.snapGen {
+		// The snapshot was written after the view left it: its lattice
+		// no longer describes the previous frame.
+		if m.pending {
+			panic("core: a metered snapshot was mutated before the meter caught up with it")
+		}
+		m.snap = nil
+	}
+	if m.snap != nil && src != nil {
+		if idx, ok := m.tl.SnapshotDiff(m.snap, src); ok {
+			m.pending = m.pending || idx >= 0
+			return idx
+		}
+	}
+	if m.pending {
+		m.tl.Prime(m.snap, m.committed)
+		m.pending = false
+	}
+	switch {
+	case fb != m.lastBuf:
+		// Buffer identity changed mid-run: full gather and compare
+		// against the committed lattice (the naive verdict).
+		m.cfg.Grid.Sample(fb, m.db.Front())
+		idx := framebuffer.SamplesFirstDiff(m.db.Front(), m.committed)
+		if idx >= 0 {
+			copy(m.committed, m.db.Front())
+		}
+		return idx
+	case fb.Gen() == m.lastGen:
+		// No mutator ran since the last observation: bitwise-identical
+		// framebuffer, the redundant-frame verdict with no pixel reads.
+		// The modeled comparison cost is still the full sweep — the
+		// simulated device performs it even though the simulator skips it.
+		return -1
+	default:
+		return m.tl.DeltaCompare(fb, m.committed, m.lastGen)
+	}
 }
 
 // finishObserve applies the cost model, event recording and rate

@@ -229,12 +229,92 @@ func BenchmarkTileCompare(b *testing.B) {
 	}
 }
 
+// feedSnapshots builds n palette snapshots of a 720×1280 feed screen: a
+// header over 24 px rows whose colors advance one row per state, the
+// shape of a feed app's memoized scroll states.
+func feedSnapshots(n int) []*framebuffer.Buffer {
+	canvas := framebuffer.New(720, 1280)
+	canvas.EnablePalettes()
+	canvas.Fill(framebuffer.R(0, 0, 720, 48), framebuffer.RGB(40, 40, 60))
+	snaps := make([]*framebuffer.Buffer, n)
+	for k := range snaps {
+		for y, i := 48, k; y < 1280; y, i = y+24, i+1 {
+			canvas.Fill(framebuffer.R(0, y, 720, y+24),
+				framebuffer.RGB(uint8(60+i*13%180), uint8(60+i*29%180), uint8(60+i*47%180)))
+		}
+		snaps[k] = framebuffer.NewPaletteSnapshot(canvas)
+	}
+	return snaps
+}
+
+// feedRegion is the part of a feed screen that changes between states.
+var feedRegion = []framebuffer.Rect{framebuffer.R(0, 48, 720, 1280)}
+
 // TestMeterObserveTiledZeroAlloc pins the tile-delta path's allocation
 // contract, mirroring TestMeterObserveFrameZeroAlloc for the naive path:
 // once primed, the delta observation — generation check, dirty-tile
 // lattice compare, accounting — must not allocate, across content frames,
-// redundant frames, and the no-mutation generation-equal shortcut.
+// redundant frames, and the no-mutation generation-equal shortcut. On a
+// view walking shared snapshots, the pair verdicts must not allocate
+// once one pass over the chain has filled the memos.
 func TestMeterObserveTiledZeroAlloc(t *testing.T) {
+	newMeter := func() *Meter {
+		m, err := NewMeter(MeterConfig{
+			Grid:   framebuffer.GridForSamples(720, 1280, 9216),
+			Window: sim.Second,
+			Cost:   power.DefaultCompareCost(),
+			Tiles:  true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	check := func(t *testing.T, observe func()) {
+		for i := 0; i < 200; i++ { // prime, warm and grow rings past one window
+			observe()
+		}
+		if allocs := testing.AllocsPerRun(500, observe); allocs != 0 {
+			t.Errorf("steady-state tiled ObserveFrame allocates %.1f per frame, want 0", allocs)
+		}
+	}
+	t.Run("owned", func(t *testing.T) {
+		m := newMeter()
+		fb := framebuffer.New(720, 1280)
+		fb.EnableTiles()
+		frame := 0
+		check(t, func() {
+			frame++
+			switch frame % 3 {
+			case 0: // content frame: real damage in one tile
+				fb.Set(frame%720, (frame/720)%1280, framebuffer.Color(frame))
+			case 1: // redundant frame with a mutator run (identical bytes)
+				fb.Fill(framebuffer.Rect{X0: 0, Y0: 0, X1: 8, Y1: 8}, fb.At(0, 0))
+			} // case 2: no mutation at all — the generation-equal shortcut
+			m.ObserveFrame(sim.Time(frame)*sim.Hz(60), fb)
+		})
+	})
+	t.Run("memo-view", func(t *testing.T) {
+		m := newMeter()
+		snaps := feedSnapshots(3)
+		view := framebuffer.New(720, 1280)
+		view.EnablePalettes()
+		view.ShareFrom(snaps[0])
+		frame := 0
+		check(t, func() {
+			frame++
+			view.ShareFromDamage(snaps[frame%3], feedRegion)
+			m.ObserveFrame(sim.Time(frame)*sim.Hz(60), view)
+		})
+	})
+}
+
+// BenchmarkMeterMemoView measures one metered frame of a view walking a
+// chain of shared feed snapshots — the memo-hit shape of the fleet mix,
+// where every frame moves the screen from one memoized state to the
+// next. Once one pass has filled the snapshots' pair memos, each frame
+// takes the pair's verdict and reads no pixels.
+func BenchmarkMeterMemoView(b *testing.B) {
 	m, err := NewMeter(MeterConfig{
 		Grid:   framebuffer.GridForSamples(720, 1280, 9216),
 		Window: sim.Second,
@@ -242,26 +322,25 @@ func TestMeterObserveTiledZeroAlloc(t *testing.T) {
 		Tiles:  true,
 	})
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	fb := framebuffer.New(720, 1280)
-	fb.EnableTiles()
+	snaps := feedSnapshots(4)
+	view := framebuffer.New(720, 1280)
+	view.EnablePalettes()
+	view.ShareFrom(snaps[0])
 	frame := 0
-	observe := func() {
+	step := func() {
 		frame++
-		switch frame % 3 {
-		case 0: // content frame: real damage in one tile
-			fb.Set(frame%720, (frame/720)%1280, framebuffer.Color(frame))
-		case 1: // redundant frame with a mutator run (identical bytes)
-			fb.Fill(framebuffer.Rect{X0: 0, Y0: 0, X1: 8, Y1: 8}, fb.At(0, 0))
-		} // case 2: no mutation at all — the generation-equal shortcut
-		m.ObserveFrame(sim.Time(frame)*sim.Hz(60), fb)
+		view.ShareFromDamage(snaps[frame%len(snaps)], feedRegion)
+		m.ObserveFrame(sim.Time(frame)*sim.Hz(60), view)
 	}
-	for i := 0; i < 200; i++ { // prime and grow rings past one window
-		observe()
+	for i := 0; i < 2*len(snaps); i++ {
+		step()
 	}
-	if allocs := testing.AllocsPerRun(500, observe); allocs != 0 {
-		t.Errorf("steady-state tiled ObserveFrame allocates %.1f per frame, want 0", allocs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 

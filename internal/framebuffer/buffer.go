@@ -61,9 +61,15 @@ type Buffer struct {
 	tiles *tileSet
 
 	// lat is the lattice index cache of a fully palettized buffer that
-	// copy-on-write views share (see TileLattice.DeltaCompare): built
-	// once by the first view metered against it, then read by all.
+	// copy-on-write views share (see TileLattice.DeltaCompare and
+	// SnapshotDiff): built once by the first meter that needs it, then
+	// read by all.
 	lat atomic.Pointer[latticeCache]
+
+	// pairs memoizes TileLattice.SnapshotDiff verdicts for the snapshots
+	// this one was metered after (copy-on-append, at most
+	// snapshotPairCap entries).
+	pairs atomic.Pointer[[]pairVerdict]
 }
 
 // New allocates a zeroed (black) buffer. Width and height must be positive.

@@ -269,6 +269,10 @@ func (b *Buffer) ShareFrom(src *Buffer) {
 // Shared reports whether b is currently a copy-on-write view.
 func (b *Buffer) Shared() bool { return b.shared != nil }
 
+// ViewSource returns the buffer b currently shares as a copy-on-write
+// view, or nil when b owns its content.
+func (b *Buffer) ViewSource() *Buffer { return b.shared }
+
 // ComposeGens is a compositor's per-surface snapshot of (source buffer
 // generation, destination buffer generation) taken at the end of a
 // compose pass. BlitTiled uses it for the exact generation skip: a tile
@@ -595,6 +599,106 @@ func (tl *TileLattice) sourceIndices(src *Buffer) []uint8 {
 	// so this call simply uses the one it built.
 	src.lat.CompareAndSwap(nil, c)
 	return c.idx
+}
+
+// snapshotPairCap bounds a snapshot's pair-verdict memo. A memoized
+// screen is reached from a handful of predecessor states (on the default
+// fleet mix almost all have one or two, a few three); a one-entry memo
+// thrashes when devices at different states interleave.
+const snapshotPairCap = 4
+
+// pairKey identifies a SnapshotDiff verdict in its owner's memo: the
+// previous snapshot at tile generation prevGen, the owner at generation
+// gen, and the grid shape.
+type pairKey struct {
+	prev         *Buffer
+	prevGen, gen uint64
+	cols, rows   int
+}
+
+// pairVerdict is one memoized SnapshotDiff result: the first differing
+// lattice index for its key, or -1.
+type pairVerdict struct {
+	pairKey
+	idx int
+}
+
+// SnapshotDiff returns the minimum lattice index at which b's content
+// differs from a's, or -1 when their lattices are equal: the verdict a
+// meter whose committed lattice holds a's content reaches on a frame
+// showing b. a and b are shared snapshots, immutable while shared and
+// read by many goroutines at once, so the verdict is a pure function of
+// the pair. It is computed once from both lattice index caches and
+// palettes and memoized on b, keyed by a, both tile generations and the
+// grid shape; the memo holds at most snapshotPairCap entries, is
+// published copy-on-append through an atomic pointer, and a snapshot
+// reached from more predecessors recomputes past the cap without
+// storing. ok is false — the caller compares pixels instead — when
+// either side is a view or not fully palettized, or holds a lattice
+// cache for another grid shape.
+func (tl *TileLattice) SnapshotDiff(a, b *Buffer) (idx int, ok bool) {
+	if a.w != tl.g.w || a.h != tl.g.h || b.w != tl.g.w || b.h != tl.g.h {
+		panic(fmt.Sprintf("framebuffer: SnapshotDiff on %dx%d and %dx%d buffers with %dx%d lattice screen",
+			a.w, a.h, b.w, b.h, tl.g.w, tl.g.h))
+	}
+	if a.shared != nil || b.shared != nil || a.tiles == nil || b.tiles == nil {
+		return -1, false
+	}
+	if a == b {
+		return -1, true
+	}
+	at, bt := a.tiles, b.tiles
+	v := pairVerdict{pairKey: pairKey{prev: a, prevGen: at.gen, gen: bt.gen, cols: tl.g.cols, rows: tl.g.rows}, idx: -1}
+	memo := b.pairs.Load()
+	if idx, hit := findPair(memo, v.pairKey); hit {
+		return idx, true
+	}
+	ai, bi := tl.sourceIndices(a), tl.sourceIndices(b)
+	if ai == nil || bi == nil {
+		return -1, false
+	}
+	for ti := 0; ti+1 < len(tl.start); ti++ {
+		pa, pb := at.tilePal(ti), bt.tilePal(ti)
+		for k := int(tl.start[ti]); k < int(tl.start[ti+1]); k++ {
+			sh := uint(k&1) * 4
+			if pa[ai[k>>1]>>sh&0xF] != pb[bi[k>>1]>>sh&0xF] {
+				// Indices ascend within a tile: its first difference
+				// is its minimum.
+				if li := int(tl.lat[k]); v.idx < 0 || li < v.idx {
+					v.idx = li
+				}
+				break
+			}
+		}
+	}
+	for memo == nil || len(*memo) < snapshotPairCap {
+		if _, hit := findPair(memo, v.pairKey); hit {
+			break // a concurrent meter published this pair first
+		}
+		var next []pairVerdict
+		if memo != nil {
+			next = append(make([]pairVerdict, 0, len(*memo)+1), *memo...)
+		}
+		next = append(next, v)
+		if b.pairs.CompareAndSwap(memo, &next) {
+			break
+		}
+		memo = b.pairs.Load()
+	}
+	return v.idx, true
+}
+
+// findPair looks key up in a published pair memo (nil when empty).
+func findPair(memo *[]pairVerdict, key pairKey) (int, bool) {
+	if memo == nil {
+		return -1, false
+	}
+	for _, e := range *memo {
+		if e.pairKey == key {
+			return e.idx, true
+		}
+	}
+	return -1, false
 }
 
 // Samples returns the lattice size.
