@@ -23,7 +23,9 @@ race:
 # Short fuzz pass over every parser boundary (decoders must never panic
 # on hostile input; raise FUZZTIME for a real session) and the tile/naive
 # differential fuzzers (the optimized pixel pipeline must stay
-# byte-identical to its brute-force oracle).
+# byte-identical to its brute-force oracle), plus the power-only baseline
+# fuzzer (a baseline that skips the meter and unmemoized paints must
+# report bit-identical power).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzReadParams -fuzztime $(FUZZTIME) ./internal/app
@@ -37,6 +39,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPaletteCompose -fuzztime $(FUZZTIME) ./internal/surface
 	$(GO) test -fuzz FuzzPaletteCompare -fuzztime $(FUZZTIME) ./internal/framebuffer
 	$(GO) test -fuzz FuzzFillRects -fuzztime $(FUZZTIME) ./internal/framebuffer
+	$(GO) test -run '^FuzzPowerOnlyBaseline$$' -fuzz FuzzPowerOnlyBaseline -fuzztime $(FUZZTIME) .
 
 # Benchmark-regression gate over the pinned hot-path suite (see
 # cmd/ccdem-bench): medians of repeated runs vs results/bench_baseline.json.

@@ -411,24 +411,29 @@ func BenchmarkDeviceSimulation(b *testing.B) {
 // (negative intervals) so the loop exercises exactly the steady-state frame
 // pipeline — render, compose, meter, govern — which must not allocate.
 func BenchmarkDeviceSteadyState(b *testing.B) {
-	benchDeviceSteadyState(b, false)
+	benchDeviceSteadyState(b, ccdem.Config{Governor: ccdem.GovernorSectionBoost})
 }
 
 // BenchmarkDeviceSteadyStateNoPalette is the same device on the raw-tile
 // oracle (palette compression and the app state memo off) — the
 // comparison row that keeps the palette path's cost visible in the gate.
 func BenchmarkDeviceSteadyStateNoPalette(b *testing.B) {
-	benchDeviceSteadyState(b, true)
+	benchDeviceSteadyState(b, ccdem.Config{Governor: ccdem.GovernorSectionBoost, NoPalette: true})
 }
 
-func benchDeviceSteadyState(b *testing.B, noPalette bool) {
+// BenchmarkDeviceBaselinePowerOnly is the steady state of a campaign's
+// baseline segment: GovernorOff with PowerOnly, so the loop is render
+// bookkeeping, compose and power integration with no meter and no pixel
+// writes past the app's install screen. It must not allocate either.
+func BenchmarkDeviceBaselinePowerOnly(b *testing.B) {
+	benchDeviceSteadyState(b, ccdem.Config{Governor: ccdem.GovernorOff, PowerOnly: true})
+}
+
+func benchDeviceSteadyState(b *testing.B, cfg ccdem.Config) {
 	p, _ := app.ByName("Jelly Splash")
-	dev, err := ccdem.NewDevice(ccdem.Config{
-		Governor:            ccdem.GovernorSectionBoost,
-		NoPalette:           noPalette,
-		TraceInterval:       -1,
-		PowerSampleInterval: -1,
-	})
+	cfg.TraceInterval = -1
+	cfg.PowerSampleInterval = -1
+	dev, err := ccdem.NewDevice(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -178,6 +178,21 @@ type Config struct {
 	// refresh). Only meaningful for the core.Governor modes (section,
 	// section+boost, naive).
 	Hardening *core.HardeningConfig
+
+	// PowerOnly runs a baseline for its power figures alone: the content
+	// meter observes no frames, and app paints outside the state memo's
+	// window record their damage without writing pixels
+	// (app.Model.SetPowerOnly). Power, energy, the component breakdown,
+	// refresh statistics, render counts, dirty-pixel accounting and
+	// TrueQuality are bit-identical to a full run; the meter-derived Stats
+	// fields (FrameRate, ContentRate, RedundantRate, DisplayQuality,
+	// DroppedFPS) and trace series read as if no frame was metered. Fleet
+	// campaigns set it on their GovernorOff baselines, of which they read
+	// only MeanPowerMW. Everything that would read pixels or meter verdicts
+	// is rejected: NewDevice and Reset fail unless Governor is GovernorOff,
+	// the panel is not OLED (its power reads screen luminance) and
+	// Recorder, Metrics and Faults are nil; RecordFrames(true) panics.
+	PowerOnly bool
 }
 
 func (c *Config) applyDefaults() {
@@ -216,6 +231,30 @@ func (c *Config) applyDefaults() {
 		c.TraceInterval = 250 * sim.Millisecond
 	}
 	// Negative intervals mean "disabled" and pass through unchanged.
+}
+
+// checkPowerOnly rejects PowerOnly configurations that would read the
+// pixels or meter verdicts a power-only run does not produce.
+func (c *Config) checkPowerOnly() error {
+	if !c.PowerOnly {
+		return nil
+	}
+	var reader string
+	switch {
+	case c.Governor != GovernorOff:
+		reader = "governor " + c.Governor.String()
+	case readsLuma(c.PowerParams.Panel):
+		reader = "an OLED panel"
+	case c.Recorder != nil:
+		reader = "a Recorder"
+	case c.Metrics != nil:
+		reader = "a Metrics registry"
+	case c.Faults != nil:
+		reader = "a fault Injector"
+	default:
+		return nil
+	}
+	return fmt.Errorf("ccdem: PowerOnly with %s, which reads pixels or meter verdicts", reader)
 }
 
 // Device is a fully assembled simulated phone: panel, surface manager,
@@ -306,6 +345,9 @@ func (d *Device) init(cfg Config, reuse bool) error {
 	}
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return fmt.Errorf("ccdem: invalid screen %dx%d", cfg.Width, cfg.Height)
+	}
+	if err := cfg.checkPowerOnly(); err != nil {
+		return err
 	}
 	// d.cfg still holds the previous run's config; these decide which
 	// dimension-keyed allocations survive the reset.
@@ -442,7 +484,7 @@ func (d *Device) init(cfg Config, reuse bool) error {
 	d.obsLastRate = 0
 	d.obsRateT = 0
 
-	_, d.oled = cfg.PowerParams.Panel.(power.OLEDPanel)
+	d.oled = readsLuma(cfg.PowerParams.Panel)
 	if d.oled && (d.lumaBuf == nil || !sameScreen) {
 		// The OLED luminance estimate runs on every latched frame; build
 		// its coarse lattice and scratch buffer once so the frame path
@@ -478,14 +520,22 @@ func (d *Device) init(cfg Config, reuse bool) error {
 	// the governor is on — the content meter. The baseline configuration
 	// also meters (read-only) so frame/content statistics are comparable,
 	// matching how the paper measures meaningful frame rates of unmanaged
-	// apps in §2.2.
+	// apps in §2.2 — unless it is PowerOnly, whose readers want its power
+	// alone.
 	panel.OnVSync(mgr.VSync)
+	powerOnly := cfg.PowerOnly
 	mgr.OnFrame(func(fi surface.FrameInfo) {
 		model.FrameRendered(fi.RenderedPx)
 		if fi.DirtyPixels > 0 {
 			// Ground truth for TrueQuality: the frame visibly changed the
 			// screen, whatever the (possibly faulted) meter concluded.
 			d.displayedContent++
+		}
+		if powerOnly {
+			// A power-only baseline has no governor, frame log or OLED
+			// luminance, and its meter charges no energy: nothing below
+			// reaches the power model.
+			return
 		}
 		if d.gov != nil {
 			d.gov.NoteFrame(fi.DirtyPixels)
@@ -562,6 +612,13 @@ func (d *Device) flushResidency(t sim.Time) {
 	d.obsRateT = t
 }
 
+// readsLuma reports whether the device samples screen luminance for the
+// panel model on every latched frame.
+func readsLuma(p power.PanelModel) bool {
+	_, oled := p.(power.OLEDPanel)
+	return oled
+}
+
 // lumaSamples is the size of the coarse luminance lattice: resampling the
 // full buffer would duplicate the meter's work; ~1K points are plenty for
 // the panel model.
@@ -611,6 +668,7 @@ func (d *Device) InstallApp(p app.Params) (*app.Model, error) {
 	}
 	m.Attach(d.eng, d.mgr)
 	m.SetStateMemo(!d.cfg.NaivePixels && !d.cfg.NoPalette)
+	m.SetPowerOnly(d.cfg.PowerOnly)
 	if d.cfg.Faults != nil {
 		m.SetStall(d.cfg.Faults.AppStalled)
 	}
@@ -636,8 +694,14 @@ func (d *Device) InstallWallpaper(cfg wallpaper.Config) (*wallpaper.Wallpaper, e
 func (d *Device) PlayScript(s input.Script) { d.replayer.Play(s) }
 
 // RecordFrames toggles frame-log recording. A recorded baseline log feeds
-// core.PredictSection, the offline what-if estimator.
-func (d *Device) RecordFrames(on bool) { d.recording = on }
+// core.PredictSection, the offline what-if estimator. The log holds meter
+// verdicts, so turning it on for a PowerOnly device panics.
+func (d *Device) RecordFrames(on bool) {
+	if on && d.cfg.PowerOnly {
+		panic("ccdem: RecordFrames on a PowerOnly device, which meters no frames")
+	}
+	d.recording = on
+}
 
 // FrameLog returns the recorded frame log (nil when recording was never
 // enabled). The slice is owned by the device.

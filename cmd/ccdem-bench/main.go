@@ -38,8 +38,9 @@ import (
 // memo view, snapshot-pair verdicts for a view walking memoized screens,
 // video band op lists that compose each tile once), the
 // event engine (cold-start and steady-state), the
-// whole-device paths (per-op setup and zero-alloc steady state), and the
-// fleet campaign path (streamed throughput and memory footprint —
+// whole-device paths (per-op setup, zero-alloc steady state, and the
+// power-only baseline segment a campaign runs before each managed one),
+// and the fleet campaign path (streamed throughput and memory footprint —
 // single-op cohorts, cheap enough to gate). Heavier figure-regeneration
 // benchmarks are deliberately excluded — they are too slow for a
 // -benchtime 200ms gate.
@@ -48,6 +49,7 @@ const suiteRegex = `^(BenchmarkGridSample9K|BenchmarkDiffPixelsFullHD|BenchmarkF
 	`BenchmarkPaletteBlit|BenchmarkPaletteHash|BenchmarkDeltaCompareMemoView|BenchmarkFillVideoBands|` +
 	`BenchmarkEngineScheduleAndRun|BenchmarkEngineSteadyState|` +
 	`BenchmarkDeviceSimulation|BenchmarkDeviceSteadyState|BenchmarkDeviceSteadyStateNoPalette|` +
+	`BenchmarkDeviceBaselinePowerOnly|` +
 	`BenchmarkFleetThroughput|BenchmarkCohortMemory)$`
 
 // suitePackages lists the packages holding the pinned benchmarks.

@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ccdem"
@@ -35,37 +37,47 @@ var modes = map[string]ccdem.GovernorMode{
 }
 
 func main() {
-	file := flag.String("file", "", "scenario JSON file")
-	mode := flag.String("mode", "", "run a single configuration instead of the baseline-vs-managed pair")
-	example := flag.Bool("example", false, "print a starter scenario to stdout and exit")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Fprint(os.Stdout, "ccdem-scenario")
-		return
-	}
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *example {
-		if err := printExample(); err != nil {
-			fail(err)
+// realMain runs the command and returns its exit status: 0 on success,
+// 1 when the scenario fails, 2 on a usage error.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccdem-scenario", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	file := fs.String("file", "", "scenario JSON file")
+	mode := fs.String("mode", "", "run a single configuration instead of the baseline-vs-managed pair")
+	example := fs.Bool("example", false, "print a starter scenario to stdout and exit")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return
+		return 2
 	}
-	if *file == "" {
-		fmt.Fprintln(os.Stderr, "ccdem-scenario: -file is required (or -example)")
-		os.Exit(2)
+	if *version {
+		buildinfo.Fprint(stdout, "ccdem-scenario")
+		return 0
 	}
-	if err := run(*file, *mode); err != nil {
-		fail(err)
+
+	var err error
+	switch {
+	case *example:
+		err = printExample(stdout)
+	case *file == "":
+		fmt.Fprintln(stderr, "ccdem-scenario: -file is required (or -example)")
+		return 2
+	default:
+		err = run(stdout, *file, *mode)
 	}
+	if err != nil {
+		fmt.Fprintf(stderr, "ccdem-scenario: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "ccdem-scenario: %v\n", err)
-	os.Exit(1)
-}
-
-func printExample() error {
+func printExample(w io.Writer) error {
 	get := func(name string) app.Params {
 		p, ok := app.ByName(name)
 		if !ok {
@@ -81,10 +93,10 @@ func printExample() error {
 			{App: get("MX Player"), Duration: 60 * sim.Second},
 		},
 	}
-	return sc.WriteJSON(os.Stdout)
+	return sc.WriteJSON(w)
 }
 
-func run(path, modeName string) error {
+func run(w io.Writer, path, modeName string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -104,7 +116,7 @@ func run(path, modeName string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res)
+		fmt.Fprint(w, res)
 		return nil
 	}
 
@@ -117,10 +129,10 @@ func run(path, modeName string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Baseline:")
-	fmt.Print(base)
-	fmt.Println("\nManaged (section + touch boosting):")
-	fmt.Print(managed)
+	fmt.Fprintln(w, "Baseline:")
+	fmt.Fprint(w, base)
+	fmt.Fprintln(w, "\nManaged (section + touch boosting):")
+	fmt.Fprint(w, managed)
 
 	var slices []battery.UsageSlice
 	for i := range base.Phases {
@@ -135,8 +147,8 @@ func run(path, modeName string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println()
-	fmt.Print(est)
-	fmt.Printf("\n  display quality under management: %.1f%%\n", 100*managed.Total.DisplayQuality)
+	fmt.Fprintln(w)
+	fmt.Fprint(w, est)
+	fmt.Fprintf(w, "\n  display quality under management: %.1f%%\n", 100*managed.Total.DisplayQuality)
 	return nil
 }

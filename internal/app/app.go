@@ -167,6 +167,9 @@ type Model struct {
 	stateMemo  bool
 	memoHits   uint64
 	memoMisses uint64
+	// powerOnly records damage without writing pixels for paints the
+	// state memo does not admit (see SetPowerOnly).
+	powerOnly bool
 
 	// Ground truth for the display-quality metric: content updates the
 	// app intended to show, independent of what the refresh rate let
@@ -273,6 +276,16 @@ func (m *Model) Surface() *surface.Surface { return m.srf }
 // hit path aliases palette-compressed snapshots, so callers should only
 // enable it on palette-enabled devices.
 func (m *Model) SetStateMemo(on bool) { m.stateMemo = on }
+
+// SetPowerOnly marks the model as rendering for a run whose pixels nobody
+// reads (ccdem.Config.PowerOnly): paints the state memo does not admit
+// record exactly the damage they would have reported and write no pixels,
+// while memo-admitted paints run unchanged (paint says why the stale
+// pixels never feed a later paint). Frame requests, damage and render
+// cost are the same either way, so everything the power model sees is
+// too. The next install overwrites the whole buffer (initPaint), so stale
+// pixels never outlive the run.
+func (m *Model) SetPowerOnly(on bool) { m.powerOnly = on }
 
 // MemoStats returns the model's lifetime state-memo hit and miss counts.
 // Both are zero while the memo is disabled or once content has advanced

@@ -47,3 +47,23 @@ func TestMemoAdmitIsKeyPure(t *testing.T) {
 		t.Error("feed state at stateSeqCap not admitted")
 	}
 }
+
+// TestMemoAdmitIsPrefix pins the invariant power-only models rest on (see
+// paint): for every app and geometry the admitted content states form a
+// prefix of the content stream, so once content leaves the memo's window
+// it never comes back, and a skipped paint is never followed by a memo
+// miss painting from its stale pixels.
+func TestMemoAdmitIsPrefix(t *testing.T) {
+	for _, p := range Catalog() {
+		key := stateKey{name: p.Name, style: p.Style, w: 720, h: 1280}
+		left := false
+		for seq := uint64(0); seq <= 4*stateSeqCap; seq++ {
+			key.seq = seq
+			admitted := memoAdmit(key)
+			if admitted && left {
+				t.Fatalf("%s: seq %d admitted after an earlier seq was not", p.Name, seq)
+			}
+			left = left || !admitted
+		}
+	}
+}

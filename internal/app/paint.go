@@ -171,6 +171,16 @@ func (m *Model) advanceContent() {
 // decision — dirty-pixel accounting, compose, metering — is byte-for-byte
 // the same with and without the memo (the golden and differential tests
 // hold this line).
+//
+// A power-only model (SetPowerOnly) takes the hit path's damage
+// bookkeeping without the alias for keys the memo does not admit, so the
+// buffer keeps the last screen actually painted. That never feeds a
+// later paint: admission is a prefix of the content stream (memoAdmit
+// admits seq 0 and, for feeds, seq ≤ stateSeqCap, and seq only grows),
+// so once one paint is skipped every later one is skipped too, and a memo
+// miss — which paints from the buffer's drawnSeq content — only ever runs
+// while every earlier paint was real. The memo's fills, their order and
+// its hit/miss counts are therefore those of a full run.
 func (m *Model) paint(buf *framebuffer.Buffer) {
 	key := stateKey{name: m.p.Name, style: m.p.Style, w: m.w, h: m.h, seq: m.contentSeq}
 	if m.stateMemo && memoAdmit(key) {
@@ -195,6 +205,10 @@ func (m *Model) paint(buf *framebuffer.Buffer) {
 		lock.Unlock()
 		return
 	}
+	if m.powerOnly {
+		m.memoDamage()
+		return
+	}
 	m.paintStyle(buf)
 }
 
@@ -211,7 +225,8 @@ func (m *Model) memoHit(memo, buf *framebuffer.Buffer) {
 // would have, in the same Region.Add order (Add's merging is
 // order-sensitive, and the damage region feeds dirty-pixel accounting),
 // and performs the painter-state updates the skipped paint would have
-// done (prevSprites tracking).
+// done (prevSprites tracking). It serves memo hits and the skipped paints
+// of a power-only model.
 func (m *Model) memoDamage() {
 	switch m.p.Style {
 	case StyleFeed:

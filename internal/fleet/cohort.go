@@ -702,7 +702,9 @@ func (c Cohort) segmentScript(prof Profile, seed int64, dur sim.Time) (input.Scr
 // instrumented with a recorder and metrics registry, fault-injected, and
 // hardened. With a lane, the worker's device is Reset in place instead of
 // constructed — the steady-state cohort path allocates per segment only
-// what the script and stats inherently need.
+// what the script and stats inherently need. The GovernorOff baseline runs
+// PowerOnly: the campaign reads only its MeanPowerMW, which is
+// bit-identical without metering or the paints the memo does not admit.
 func (c Cohort) runSegment(lane *deviceLane, p app.Params, mode ccdem.GovernorMode, dur sim.Time, script input.Script, rec *obs.Recorder, reg *obs.Registry, inj *fault.Injector, hard *core.HardeningConfig) (ccdem.Stats, error) {
 	cfg := ccdem.Config{
 		Width: screenW, Height: screenH,
@@ -714,6 +716,7 @@ func (c Cohort) runSegment(lane *deviceLane, p app.Params, mode ccdem.GovernorMo
 		Metrics:      reg,
 		Faults:       inj,
 		Hardening:    hard,
+		PowerOnly:    mode == ccdem.GovernorOff,
 	}
 	var dev *ccdem.Device
 	if lane != nil && lane.dev != nil {

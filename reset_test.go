@@ -129,3 +129,72 @@ func mustApp(t *testing.T, name string) app.Params {
 	}
 	return p
 }
+
+// TestDeviceResetPowerOnlyLane is the reset contract on a campaign lane:
+// one device alternates power-only baselines with full managed segments,
+// as fleet workers do. A power-only run leaves stale pixels behind (its
+// paints outside the state memo's window write nothing); the next
+// install must make them unreachable, so every managed segment's stats,
+// decision events and screens equal a fresh device's. The apps cover a
+// feed whose baseline runs past the memo window, a sprite game and video.
+func TestDeviceResetPowerOnlyLane(t *testing.T) {
+	const (
+		dur = 20 * sim.Second
+		// stateSeqCap mirrors internal/app's memo window (initcache.go):
+		// feed content past it is no longer memoized, so a power-only
+		// feed baseline stops painting there.
+		stateSeqCap = 64
+	)
+	var lane *ccdem.Device
+	for i, name := range []string{"CGV", "Jelly Splash", "MX Player"} {
+		p := mustApp(t, name)
+		sc := monkeyScript(t, int64(200+i), dur, 1)
+
+		// Power-only baseline on the lane vs a full one on a fresh device.
+		fullDev, full := runBaseline(t, nil, ccdem.Config{}, p, sc, dur)
+		var lean baselinePower
+		lane, lean = runBaseline(t, lane, ccdem.Config{PowerOnly: true}, p, sc, dur)
+		if !reflect.DeepEqual(lean, full) {
+			t.Errorf("%s: power-only baseline diverged:\nfull:       %+v\npower-only: %+v", name, full, lean)
+		}
+		if name == "CGV" && full.IntendedRate*dur.Seconds() <= stateSeqCap {
+			t.Fatalf("%s: %.0f content advances do not pass the memo window", name, full.IntendedRate*dur.Seconds())
+		}
+		if lane.SurfaceManager().Framebuffer().Equal(fullDev.SurfaceManager().Framebuffer()) {
+			t.Fatalf("%s: power-only screen equals the full one; the run left no stale pixels to test", name)
+		}
+
+		// Managed segment: the lane vs a fresh device, in lockstep.
+		freshRec, laneRec := obs.NewRecorder(0), obs.NewRecorder(0)
+		fresh, err := ccdem.NewDevice(ccdem.Config{Governor: ccdem.GovernorSectionBoost, Recorder: freshRec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lane.Reset(ccdem.Config{Governor: ccdem.GovernorSectionBoost, Recorder: laneRec}); err != nil {
+			t.Fatal(err)
+		}
+		freshApp, err := fresh.InstallApp(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		laneApp, err := lane.InstallApp(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !laneApp.Surface().Buffer().Equal(freshApp.Surface().Buffer()) {
+			t.Errorf("%s: install on the lane left stale pixels in the surface", name)
+		}
+		want := driveDevice(t, fresh, int64(300+i), dur)
+		got := driveDevice(t, lane, int64(300+i), dur)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: managed stats after a power-only baseline diverged:\nfresh: %+v\nlane:  %+v", name, want, got)
+		}
+		if !reflect.DeepEqual(laneRec.Events(), freshRec.Events()) {
+			t.Errorf("%s: managed decision events after a power-only baseline diverged (%d vs %d events)",
+				name, len(laneRec.Events()), len(freshRec.Events()))
+		}
+		if !lane.SurfaceManager().Framebuffer().Equal(fresh.SurfaceManager().Framebuffer()) {
+			t.Errorf("%s: managed screen after a power-only baseline diverged", name)
+		}
+	}
+}
